@@ -75,22 +75,18 @@ fn values(rng: &mut SplitMix64, n: usize) -> Vec<FpValue> {
         .collect()
 }
 
-/// Wave `wave` of the seeded plan; wave 0 primes one tenant per library
-/// structure under its own coefficients.
-fn make_wave(lib: &[Workload], deck: &mut Deck, seed: u64, wave: u64, items: usize) -> Vec<Job> {
+/// Wave `wave` of the seeded plan: one tenant per entry of `kinds`
+/// (library indices). Wave 0 primes under the library's own
+/// coefficients; later waves draw fresh ones.
+fn make_wave(lib: &[Workload], kinds: &[usize], seed: u64, wave: u64, items: usize) -> Vec<Job> {
     let mut rng = SplitMix64::new(seed ^ wave.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let picks: Vec<(usize, bool)> = if wave == 0 {
-        (0..lib.len()).map(|i| (i, false)).collect()
-    } else {
-        (0..TENANTS_PER_WAVE).map(|_| (deck.draw(), true)).collect()
-    };
-    picks
-        .into_iter()
+    kinds
+        .iter()
         .enumerate()
-        .map(|(t, (k, fresh))| {
+        .map(|(t, &k)| {
             let w = &lib[k];
             let arity = w.graph.coeff_nodes().len();
-            let graph = if fresh {
+            let graph = if wave > 0 {
                 w.graph.with_coeffs(&values(&mut rng, arity))
             } else {
                 w.graph.clone()
@@ -268,13 +264,8 @@ fn start(
         ..ShardConfig::default()
     });
     let (mut tier, mut rt) = (Tier::default(), RuntimeLayer::default());
-    let jobs = make_wave(
-        lib,
-        &mut Deck::new(lib.len(), 1, seed),
-        seed,
-        0,
-        plan.priming_items,
-    );
+    let all: Vec<usize> = (0..lib.len()).collect();
+    let jobs = make_wave(lib, &all, seed, 0, plan.priming_items);
     let (done, _) = run_wave(&mut server, jobs, &mut tier, &mut rt, calls);
     calls.check("drain", server.drain(false));
     let mut fp = Fnv::default();
@@ -327,7 +318,8 @@ pub fn run(args: &RunArgs) -> Outcome {
         && ((wave as usize) < plan.ref_waves || start.elapsed().as_secs_f64() < args.seconds)
     {
         wave += 1;
-        let batch = make_wave(&lib, &mut deck, args.seed, wave, plan.items);
+        let kinds: Vec<usize> = (0..TENANTS_PER_WAVE).map(|_| deck.draw()).collect();
+        let batch = make_wave(&lib, &kinds, args.seed, wave, plan.items);
         let (done, seconds) = run_wave(&mut server, batch, &mut tier, &mut rt, &mut calls);
         waves.push(seconds);
         let latencies: Vec<f64> = done.iter().map(|f| f.latency).collect();
