@@ -18,12 +18,21 @@ const KEPT_EVENTS: usize = 100_000;
 struct Open {
     name: &'static str,
     begin_ns: u64,
-    child_ns: u64,
+    /// Time covered by layer spans nested inside this one.
+    layer_child_ns: u64,
+}
+
+/// Whether `name` is a layer span: one of the `self_s.*` metrics.
+fn is_layer(name: &str) -> bool {
+    crate::PER_LAYER
+        .iter()
+        .any(|(m, _)| m.strip_prefix("self_s.") == Some(name))
 }
 
 /// The traced run's recorder: drains the global span buffer as the run
-/// goes and folds every span into per-name self time (its duration minus
-/// the time its children cover, on the same thread).
+/// goes and folds every layer span into per-name self time: its duration
+/// minus the time the layer spans nested in it cover, on the same thread.
+/// Other spans a layer opens inside itself count as that layer's time.
 pub struct LayerTrace {
     stacks: HashMap<u64, Vec<Open>>,
     self_ns: BTreeMap<&'static str, u64>,
@@ -55,16 +64,21 @@ impl LayerTrace {
                 Phase::Begin => self.stacks.entry(ev.tid).or_default().push(Open {
                     name: ev.name,
                     begin_ns: ev.ts_ns,
-                    child_ns: 0,
+                    layer_child_ns: 0,
                 }),
                 Phase::End => {
                     let stack = self.stacks.entry(ev.tid).or_default();
                     if let Some(open) = stack.pop() {
-                        let dur = ev.ts_ns.saturating_sub(open.begin_ns);
-                        *self.self_ns.entry(open.name).or_default() +=
-                            dur.saturating_sub(open.child_ns);
+                        let covered = if is_layer(open.name) {
+                            let dur = ev.ts_ns.saturating_sub(open.begin_ns);
+                            *self.self_ns.entry(open.name).or_default() +=
+                                dur.saturating_sub(open.layer_child_ns);
+                            dur
+                        } else {
+                            open.layer_child_ns
+                        };
                         if let Some(parent) = stack.last_mut() {
-                            parent.child_ns += dur;
+                            parent.layer_child_ns += covered;
                         }
                     }
                 }
@@ -76,7 +90,7 @@ impl LayerTrace {
         }
     }
 
-    /// Total self time of spans named `name`, in seconds.
+    /// Total self time of layer spans named `name`, in seconds.
     pub fn self_s(&self, name: &str) -> f64 {
         self.self_ns.get(name).map_or(0.0, |&ns| ns as f64 * 1e-9)
     }

@@ -54,8 +54,10 @@ pub const END_TO_END: &[(&str, &str)] = &[
 ];
 
 /// Per-layer metrics `(name, unit)`, reported by every workload in a
-/// traced run. `self_s.<span>` is the span's total self time: its
-/// duration minus the time its child spans cover.
+/// traced run. `self_s.<span>` is the total self time of a layer span:
+/// its duration minus the time of the layer spans nested in it on the
+/// same thread (other spans the program opens inside it count as its
+/// own).
 pub const PER_LAYER: &[(&str, &str)] = &[
     // softfloat / logic
     ("softfloat.pe_build_s", "s"),
@@ -121,8 +123,10 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("shard.imbalance", "ratio"),
     ("shard.warm_hit_ratio", "ratio"),
     ("shard.wave_ms_p50", "ms"),
-    // self time per benchmark-side span (one per layer boundary) and per
-    // program-side span the layers open inside them
+    // layer spans: the benchmark's own, around each call into a layer,
+    // and the program's where a layer runs on a worker thread (shard
+    // requests, engine execution) or inside another layer (cold
+    // compiles, swap pricing)
     ("self_s.softfloat.pe_build", "s"),
     ("self_s.mapping.map", "s"),
     ("self_s.par.extract", "s"),
