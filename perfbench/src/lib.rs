@@ -207,8 +207,9 @@ impl Outcome {
 
     /// The metrics the run prints: every end-to-end metric untraced,
     /// every per-layer metric traced. Per-layer metrics of layers the
-    /// workload never calls read 0; a missing end-to-end metric is a bug
-    /// in the workload.
+    /// workload never calls read 0. An end-to-end metric is missing only
+    /// when a failure cut the run short (it then reads 0 next to
+    /// `"correct": false`); otherwise that is a bug in the workload.
     pub fn metrics(&self, trace: bool) -> Vec<(&'static str, f64, &'static str)> {
         if trace {
             PER_LAYER
@@ -219,12 +220,11 @@ impl Outcome {
             END_TO_END
                 .iter()
                 .map(|&(n, u)| {
-                    let v = self.values.get(n).copied();
-                    (
-                        n,
-                        v.unwrap_or_else(|| panic!("workload did not measure {n}")),
-                        u,
-                    )
+                    let v = self.values.get(n).copied().unwrap_or_else(|| {
+                        assert!(!self.correct(), "workload did not measure {n}");
+                        0.0
+                    });
+                    (n, v, u)
                 })
                 .collect()
         }
@@ -265,5 +265,29 @@ pub fn run_workload(name: &str, args: &RunArgs) -> Option<Outcome> {
         "serve_stream" => Some(serve_stream::run(args)),
         "serve_churn" => Some(serve_churn::run(args)),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_run_still_prints_a_result_line() {
+        let mut out = Outcome {
+            attempted: 3,
+            failed: 1,
+            ..Outcome::default()
+        };
+        out.gate(false, || "gate".into());
+        let line = out.json_line(false);
+        assert!(
+            line.starts_with("{\"correct\": false, \"attempted\": 3, \"failed\": 1,"),
+            "{line}"
+        );
+        assert!(
+            line.contains("\"setup_s\": {\"value\": 0, \"unit\": \"s\"}"),
+            "{line}"
+        );
     }
 }
