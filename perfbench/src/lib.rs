@@ -42,8 +42,9 @@ pub const WORKLOADS: &[&str] = &["compile_pe", "serve_stream", "serve_churn"];
 /// - `port_s`: modeled configuration-port time of a fixed, seeded amount
 ///   of work (exact for a given seed).
 ///
-/// The serve workloads take the three job figures per window of work and
-/// report their medians over windows (see [`stats::Windows`]).
+/// The three job figures are taken per window of work (a compile pass,
+/// 16 stream waves, a churn epoch) and reported as medians over windows
+/// (see [`stats::Windows`]).
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
     ("peak_rss_mb", "MB"),
