@@ -24,7 +24,7 @@ use vcgra_repro::vcgra::{PeSettings, VirtualPe, VirtualPeConfig};
 use vcgra_repro::verify::Verifier;
 
 use crate::layers::{absorb, LayerTrace};
-use crate::stats::{peak_rss_mb, ratio, us, Calls, Fnv, Samples, Windows};
+use crate::stats::{peak_rss_mb, ratio, us, Calls, Fnv, Samples, Stopwatch, Windows};
 use crate::{Outcome, RunArgs, Scale};
 
 /// Seeded coefficient changes priced on the compiled parameterized PE.
@@ -45,7 +45,7 @@ impl Plan {
         match scale {
             Scale::Full => Plan {
                 format: FpFormat::new(5, 10),
-                setups: 21,
+                setups: 101,
                 min_passes: 2,
                 max_passes: 64,
                 draws: 4,
@@ -219,13 +219,14 @@ pub fn run(args: &RunArgs) -> Outcome {
     let mut calls = Calls::default();
     let mut tracer = LayerTrace::start(args.trace);
 
-    let mut setup = Samples::default();
+    let (mut setup, mut pe_build) = (Samples::default(), Samples::default());
     let mut aigs = None;
     for _ in 0..plan.setups {
-        let t0 = Instant::now();
+        let t = Stopwatch::start();
         let _s = trace::span("softfloat.pe_build");
         let built = (build_pe(plan.format, false), build_pe(plan.format, true));
-        setup.push_duration(t0.elapsed());
+        setup.push(t.cpu_s());
+        pe_build.push(t.wall_s());
         aigs = Some(built);
     }
     let (conv_aig, par_aig) = aigs.expect("at least one set-up");
@@ -246,14 +247,14 @@ pub fn run(args: &RunArgs) -> Outcome {
     while digests.len() < plan.max_passes
         && (digests.len() < plan.min_passes || start.elapsed().as_secs_f64() < args.seconds)
     {
-        let t0 = Instant::now();
+        let t = Stopwatch::start();
         let conv = compile(&engine, &conv_aig, false, &mut calls);
         let par = compile(&engine, &par_aig, true, &mut calls);
         let (Some(conv), Some(par)) = (conv, par) else {
             break;
         };
-        let pass_s = t0.elapsed().as_secs_f64();
-        passes.record(&[pass_s], pass_s);
+        let (pass_s, pass_cpu_s) = (t.wall_s(), t.cpu_s());
+        passes.record(&[pass_s], pass_s, pass_cpu_s);
         conv_t.push(&conv);
         par_t.push(&par);
         let mut fp = Fnv::default();
@@ -306,7 +307,7 @@ pub fn run(args: &RunArgs) -> Outcome {
     passes.publish(&mut out);
     out.set("port_s", port_s);
 
-    out.set("softfloat.pe_build_s", setup.median());
+    out.set("softfloat.pe_build_s", pe_build.median());
     out.set("logic.aig_nodes", par_aig.num_nodes() as f64);
     out.set("mapping.conv_s", conv_t.map.median());
     out.set("mapping.param_s", par_t.map.median());
@@ -370,7 +371,8 @@ pub fn run(args: &RunArgs) -> Outcome {
     out.show("passes", passes.all.len() as f64, "count");
 
     if let Some(t) = tracer {
-        out.set("trace.jobs_per_s", out.values["jobs_per_s"]);
+        out.set("trace.jobs_per_s", passes.jobs_per_s());
+        out.set("trace.cpu_ms_per_job", out.values["cpu_ms_per_job"]);
         t.finish("compile_pe", &mut out);
     }
     out

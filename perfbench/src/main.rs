@@ -162,12 +162,12 @@ fn run_all(cli: &Cli) -> ExitCode {
                     .and_then(JsonValue::as_f64)
             };
             if let (Some(a), Some(b)) = (
-                metric(plain, "jobs_per_s"),
-                metric(traced, "trace.jobs_per_s"),
+                metric(plain, "cpu_ms_per_job"),
+                metric(traced, "trace.cpu_ms_per_job"),
             ) {
                 println!(
-                    "{workload}: jobs_per_s {a:.3} untraced, {b:.3} traced: tracing overhead {:.2}%\n",
-                    100.0 * (1.0 - b / a)
+                    "{workload}: cpu_ms_per_job {a:.4} untraced, {b:.4} traced: tracing overhead {:.2}%\n",
+                    100.0 * (b / a - 1.0)
                 );
             }
         }

@@ -11,6 +11,7 @@
 //! resident. The pool oversubscribes, so tenants queue and time-share.
 
 use std::collections::VecDeque;
+use std::ops::AddAssign;
 use std::time::Instant;
 
 use vcgra_repro::logic::SplitMix64;
@@ -21,7 +22,7 @@ use vcgra_repro::trace;
 use vcgra_repro::vcgra::sim::run_dataflow;
 
 use crate::layers::{absorb, LayerTrace, RuntimeLayer};
-use crate::stats::{peak_rss_mb, ratio, us, Calls, Fnv, Samples, Windows};
+use crate::stats::{peak_rss_mb, ratio, us, Calls, Fnv, Samples, Stopwatch, Windows};
 use crate::{Outcome, RunArgs, Scale};
 
 const FORMAT: FpFormat = FpFormat::PAPER;
@@ -46,7 +47,7 @@ impl Plan {
         match scale {
             Scale::Full => Plan {
                 epoch_steps: 1024,
-                ref_epochs: 16,
+                ref_epochs: 40,
                 max_epochs: 1 << 20,
             },
             Scale::Tiny => Plan {
@@ -94,6 +95,29 @@ fn values(rng: &mut SplitMix64, n: usize) -> Vec<FpValue> {
         .collect()
 }
 
+/// Wall and process CPU seconds spent in public calls.
+#[derive(Debug, Default, Clone, Copy)]
+struct Spent {
+    wall: f64,
+    cpu: f64,
+}
+
+impl Spent {
+    fn since(t: &Stopwatch) -> Self {
+        Spent {
+            wall: t.wall_s(),
+            cpu: t.cpu_s(),
+        }
+    }
+}
+
+impl AddAssign for Spent {
+    fn add_assign(&mut self, o: Spent) {
+        self.wall += o.wall;
+        self.cpu += o.cpu;
+    }
+}
+
 /// One tenant's streamed inputs and its run, kept for the untimed check.
 type Streamed = (Vec<Vec<FpValue>>, TenantRun);
 
@@ -132,17 +156,17 @@ impl Script {
     }
 
     /// Submits; returns the call's seconds.
-    fn submit(&mut self, name: String, w: &Workload, coeffs: &[FpValue]) -> f64 {
+    fn submit(&mut self, name: String, w: &Workload, coeffs: &[FpValue]) -> Spent {
         let graph = w.graph.with_coeffs(coeffs);
-        let t0 = Instant::now();
+        let t = Stopwatch::start();
         let r = {
             let _s = trace::span("runtime.submit");
             self.rt.submit(name, graph)
         };
-        let dt = t0.elapsed().as_secs_f64();
+        let dt = Spent::since(&t);
         match self.calls.check("submit", r) {
             Some(Admission::Admitted(a)) => {
-                self.layer.admitted(&a, dt);
+                self.layer.admitted(&a, dt.wall);
                 self.resident.push_back(a.tenant);
             }
             Some(Admission::Queued(q)) => self.resident.push_back(q.tenant),
@@ -153,7 +177,7 @@ impl Script {
 
     /// Streams seeded inputs through `tenants`; returns the call's
     /// seconds and the runs for the untimed check.
-    fn run(&mut self, rng: &mut SplitMix64, tenants: &[TenantId]) -> (f64, Vec<Streamed>) {
+    fn run(&mut self, rng: &mut SplitMix64, tenants: &[TenantId]) -> (Spent, Vec<Streamed>) {
         let requests: Vec<StreamRequest> = tenants
             .iter()
             .map(|&tenant| {
@@ -165,13 +189,13 @@ impl Script {
             })
             .collect();
         let inputs: Vec<_> = requests.iter().map(|r| r.inputs.clone()).collect();
-        let t0 = Instant::now();
+        let t = Stopwatch::start();
         let r = {
             let _s = trace::span("runtime.run");
             self.rt.run(requests)
         };
-        let dt = t0.elapsed().as_secs_f64();
-        self.layer.run_calls.push(dt);
+        let dt = Spent::since(&t);
+        self.layer.run_calls.push(dt.wall);
         let runs = self.calls.check("run", r).unwrap_or_default();
         self.layer.ran(&runs);
         let by_tenant = runs
@@ -218,33 +242,33 @@ impl Script {
         }
     }
 
-    fn swap(&mut self, rng: &mut SplitMix64, tenant: TenantId) -> f64 {
+    fn swap(&mut self, rng: &mut SplitMix64, tenant: TenantId) -> Spent {
         let arity = self
             .rt
             .tenant(tenant)
             .map_or(0, |t| t.graph.coeff_nodes().len());
         let coeffs = values(rng, arity);
-        let t0 = Instant::now();
+        let t = Stopwatch::start();
         let r = {
             let _s = trace::span("runtime.swap");
             self.rt.swap_params(tenant, &coeffs)
         };
-        let dt = t0.elapsed().as_secs_f64();
-        self.layer.swap.push(dt);
+        let dt = Spent::since(&t);
+        self.layer.swap.push(dt.wall);
         if let Some(report) = self.calls.check("swap_params", r) {
             self.layer.swapped(&report);
         }
         dt
     }
 
-    fn release(&mut self, tenant: TenantId) -> f64 {
-        let t0 = Instant::now();
+    fn release(&mut self, tenant: TenantId) -> Spent {
+        let t = Stopwatch::start();
         let r = {
             let _s = trace::span("runtime.release");
             self.rt.release(tenant)
         };
-        let dt = t0.elapsed().as_secs_f64();
-        self.layer.release.push(dt);
+        let dt = Spent::since(&t);
+        self.layer.release.push(dt.wall);
         self.calls.check("release", r);
         dt
     }
@@ -279,7 +303,7 @@ impl Script {
     }
 
     /// One script step; returns the seconds spent in public calls.
-    fn step(&mut self, set: &[Workload], seed: u64, step: u64) -> f64 {
+    fn step(&mut self, set: &[Workload], seed: u64, step: u64) -> Spent {
         let mut rng = SplitMix64::new(seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let w = &set[rng.index(set.len())];
         let coeffs = values(&mut rng, w.graph.coeff_nodes().len());
@@ -325,14 +349,14 @@ pub fn run(args: &RunArgs) -> Outcome {
     while ledgers.len() < plan.max_epochs
         && (ledgers.len() < plan.ref_epochs || start.elapsed().as_secs_f64() < args.seconds)
     {
-        let t0 = Instant::now();
+        let t = Stopwatch::start();
         priming.push(s.restart(args.seed));
-        setup.push_duration(t0.elapsed());
+        setup.push(t.cpu_s());
         absorb(&mut tracer);
         let epoch_seed = args.seed ^ (ledgers.len() as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03);
         for step in 1..=plan.epoch_steps {
             let dt = s.step(&set, epoch_seed, step as u64);
-            steps.record(&[dt], dt);
+            steps.record(&[dt.wall], dt.wall, dt.cpu);
             if step % 256 == 0 {
                 absorb(&mut tracer);
             }
@@ -391,7 +415,8 @@ pub fn run(args: &RunArgs) -> Outcome {
     );
 
     if let Some(t) = tracer {
-        out.set("trace.jobs_per_s", out.values["jobs_per_s"]);
+        out.set("trace.jobs_per_s", steps.jobs_per_s());
+        out.set("trace.cpu_ms_per_job", out.values["cpu_ms_per_job"]);
         t.finish("serve_churn", &mut out);
     }
     out

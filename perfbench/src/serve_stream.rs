@@ -21,7 +21,7 @@ use vcgra_repro::vcgra::app::AppGraph;
 use vcgra_repro::vcgra::sim::run_dataflow;
 
 use crate::layers::{absorb, LayerTrace, RuntimeLayer};
-use crate::stats::{ms, peak_rss_mb, ratio, us, Calls, Deck, Fnv, Samples, Windows};
+use crate::stats::{ms, peak_rss_mb, ratio, us, Calls, Deck, Fnv, Samples, Stopwatch, Windows};
 use crate::{Outcome, RunArgs, Scale};
 
 const FORMAT: FpFormat = FpFormat::PAPER;
@@ -44,7 +44,7 @@ impl Plan {
     fn of(scale: Scale) -> Self {
         match scale {
             Scale::Full => Plan {
-                setups: 5,
+                setups: 9,
                 items: 1024,
                 priming_items: 64,
                 ref_waves: 64,
@@ -291,9 +291,9 @@ pub fn run(args: &RunArgs) -> Outcome {
     let mut priming = Vec::new();
     let mut server = None;
     for _ in 0..plan.setups {
-        let t0 = Instant::now();
+        let t = Stopwatch::start();
         let (s, fp) = start(&plan, &lib, args.seed, &mut calls, &mut out);
-        setup.push_duration(t0.elapsed());
+        setup.push(t.cpu_s());
         priming.push(fp);
         if let Some(old) = server.replace(s) {
             old.shutdown();
@@ -320,10 +320,12 @@ pub fn run(args: &RunArgs) -> Outcome {
         wave += 1;
         let kinds: Vec<usize> = (0..TENANTS_PER_WAVE).map(|_| deck.draw()).collect();
         let batch = make_wave(&lib, &kinds, args.seed, wave, plan.items);
+        let t = Stopwatch::start();
         let (done, seconds) = run_wave(&mut server, batch, &mut tier, &mut rt, &mut calls);
+        let cpu_seconds = t.cpu_s();
         waves.push(seconds);
         let latencies: Vec<f64> = done.iter().map(|f| f.latency).collect();
-        jobs.record(&latencies, seconds);
+        jobs.record(&latencies, seconds, cpu_seconds);
         check_wave(&done, &mut check_rng, &mut fp, &mut out);
         if wave as usize == plan.ref_waves {
             out.fingerprint = fp.finish();
@@ -400,7 +402,8 @@ pub fn run(args: &RunArgs) -> Outcome {
     );
 
     if let Some(t) = tracer {
-        out.set("trace.jobs_per_s", out.values["jobs_per_s"]);
+        out.set("trace.jobs_per_s", jobs.jobs_per_s());
+        out.set("trace.cpu_ms_per_job", out.values["cpu_ms_per_job"]);
         t.finish("serve_stream", &mut out);
     }
     out

@@ -47,15 +47,17 @@ impl Samples {
     }
 }
 
-/// Job latencies and throughput over consecutive windows of at least
-/// `size` jobs. The end-to-end figures are medians over windows, so a
-/// burst of contention from outside the program moves a few windows, not
-/// the result.
+/// Job figures over consecutive windows of at least `size` jobs: the
+/// process CPU time per job, and the wall-clock throughput and latency.
+/// Each figure is a median over windows, so a burst of contention from
+/// outside the program moves a few windows, not the result.
 #[derive(Debug)]
 pub struct Windows {
     size: usize,
     open: Samples,
     open_s: f64,
+    open_cpu_s: f64,
+    cpu_per_job: Samples,
     rates: Samples,
     p50: Samples,
     p99: Samples,
@@ -71,6 +73,8 @@ impl Windows {
             size,
             open: Samples::default(),
             open_s: 0.0,
+            open_cpu_s: 0.0,
+            cpu_per_job: Samples::default(),
             rates: Samples::default(),
             p50: Samples::default(),
             p99: Samples::default(),
@@ -79,13 +83,15 @@ impl Windows {
         }
     }
 
-    /// Records a batch of jobs that took `seconds` of wall time together.
-    pub fn record(&mut self, latencies: &[f64], seconds: f64) {
+    /// Records a batch of jobs that took `seconds` of wall time and
+    /// `cpu_seconds` of process CPU time together.
+    pub fn record(&mut self, latencies: &[f64], seconds: f64, cpu_seconds: f64) {
         for &l in latencies {
             self.open.push(l);
             self.all.push(l);
         }
         self.open_s += seconds;
+        self.open_cpu_s += cpu_seconds;
         self.seconds += seconds;
         if self.open.len() >= self.size {
             self.close();
@@ -93,22 +99,86 @@ impl Windows {
     }
 
     fn close(&mut self) {
-        self.rates.push(ratio(self.open.len() as f64, self.open_s));
+        let jobs = self.open.len() as f64;
+        self.cpu_per_job.push(ratio(self.open_cpu_s, jobs));
+        self.rates.push(ratio(jobs, self.open_s));
         self.p50.push(self.open.median());
         self.p99.push(self.open.quantile(0.99));
         self.open = Samples::default();
         self.open_s = 0.0;
+        self.open_cpu_s = 0.0;
     }
 
-    /// Publishes `jobs_per_s`, `job_p50_ms` and `job_p99_ms`: medians over
-    /// the windows (a run too short for one full window counts as one).
+    /// Publishes `cpu_ms_per_job` and reports the wall-clock
+    /// `jobs_per_s`, `job_p50_ms` and `job_p99_ms`: medians over the
+    /// windows (a run too short for one full window counts as one).
     pub fn publish(&mut self, out: &mut crate::Outcome) {
         if self.rates.is_empty() && !self.open.is_empty() {
             self.close();
         }
-        out.set("jobs_per_s", self.rates.median());
-        out.set("job_p50_ms", ms(self.p50.median()));
-        out.set("job_p99_ms", ms(self.p99.median()));
+        out.set("cpu_ms_per_job", ms(self.cpu_per_job.median()));
+        out.show("jobs_per_s", self.rates.median(), "1/s");
+        out.show("job_p50_ms", ms(self.p50.median()), "ms");
+        out.show("job_p99_ms", ms(self.p99.median()), "ms");
+    }
+
+    /// Wall-clock jobs per second: the median over windows.
+    pub fn jobs_per_s(&self) -> f64 {
+        self.rates.median()
+    }
+}
+
+/// CPU time this process has used, in seconds: every thread, exited
+/// ones included. The kernel leaves out time a hypervisor took the
+/// virtual CPU away (steal), which wall-clock time counts, so on a
+/// shared host CPU time measures the program's work more steadily.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+#[allow(unsafe_code)]
+pub fn cpu_s() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live `struct timespec` (two 64-bit fields on
+    // 64-bit Linux) that the call only writes.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+compile_error!("perfbench reads the process CPU clock of 64-bit Linux");
+
+/// Wall and process CPU seconds since it started.
+#[derive(Debug, Clone, Copy)]
+pub struct Stopwatch {
+    wall: std::time::Instant,
+    cpu: f64,
+}
+
+impl Stopwatch {
+    pub fn start() -> Self {
+        Stopwatch {
+            wall: std::time::Instant::now(),
+            cpu: cpu_s(),
+        }
+    }
+
+    pub fn wall_s(&self) -> f64 {
+        self.wall.elapsed().as_secs_f64()
+    }
+
+    pub fn cpu_s(&self) -> f64 {
+        cpu_s() - self.cpu
     }
 }
 
@@ -241,5 +311,22 @@ mod tests {
         assert_eq!(s.quantile(0.99), 5.0);
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(Samples::default().median(), 0.0);
+    }
+
+    #[test]
+    fn process_cpu_time_counts_work_on_other_threads() {
+        let spin = |n: u64| (0..n).fold(0u64, |a, i| std::hint::black_box(a ^ i.wrapping_mul(a | 1)));
+        let t = Stopwatch::start();
+        std::thread::scope(|s| {
+            s.spawn(|| spin(20_000_000));
+        });
+        let (cpu, wall) = (t.cpu_s(), t.wall_s());
+        assert!(
+            cpu >= 0.25 * wall && cpu <= 2.0 * wall + 0.05,
+            "a spinning thread used {cpu} s of CPU in {wall} s"
+        );
+        let idle = Stopwatch::start();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(idle.cpu_s() < 0.025, "sleeping used {} s of CPU", idle.cpu_s());
     }
 }
