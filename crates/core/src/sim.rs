@@ -1,14 +1,17 @@
 //! Functional simulation of applications on the VCGRA.
 //!
-//! Dataflow graphs execute through [`PeSettings::evaluate`], so every
-//! arithmetic result is bit-exact with the FloPoCo netlists the CAD flow
-//! maps (this is cross-checked by integration tests). Streaming MAC
+//! [`run_dataflow`] is the reference: it executes every node through
+//! [`PeSettings::evaluate`], so every arithmetic result is bit-exact with
+//! the FloPoCo netlists the CAD flow maps (this is cross-checked by
+//! integration tests). Mapped configurations execute through a [`Tape`],
+//! which decodes each PE's settings once and then computes only the
+//! arithmetic each mode routes to its output. Streaming MAC
 //! execution with the per-PE iteration counter — the usage pattern the
 //! paper describes for the filter kernels — is modeled by
 //! [`StreamingMac`].
 
 use crate::app::{AppGraph, AppSource};
-use crate::pe::PeSettings;
+use crate::pe::{PeMode, PeSettings};
 use softfloat::FpValue;
 
 /// Runs a stateless dataflow graph on one input vector.
@@ -105,35 +108,105 @@ pub fn time_multiplexed_dot(
     acc
 }
 
-/// Verifies a mapped application: re-runs the dataflow through the
-/// placement (every node must sit on a PE whose settings reproduce the
-/// node's operation). Returns the simulated outputs.
+/// Runs a mapped application on one input vector: the dataflow through
+/// the placement, every node computed by the settings of the PE it sits
+/// on. Lowers a [`Tape`] and runs it once; a stream of inputs should
+/// lower once and call [`Tape::run_with`] per item instead.
 pub fn run_mapped(
     mapping: &crate::flow::VcgraMapping,
     app: &AppGraph,
     inputs: &[FpValue],
 ) -> Vec<FpValue> {
-    // The mapping stores settings per grid cell; execution order is the
-    // app's topological order, reading each node's settings from its cell.
-    let zero = FpValue::zero(app.format);
-    let cols = mapping.arch.cols;
-    let mut value = Vec::with_capacity(app.nodes.len());
-    for (i, node) in app.nodes.iter().enumerate() {
-        let (r, c) = mapping.place[i];
-        let settings = mapping.pe_settings[r * cols + c]
-            .expect("placed node must have settings");
-        assert_eq!(settings.mode, node.op, "cell settings must match the node op");
-        let read = |s: AppSource, value: &[FpValue]| match s {
-            AppSource::External(k) => inputs[k],
-            AppSource::Node(j) => value[j],
-            AppSource::Zero => zero,
-        };
-        let a = read(node.a, &value);
-        let b = read(node.b, &value);
-        let (out, _) = settings.evaluate(a, b, zero);
-        value.push(out);
+    Tape::lower(mapping, app).run(inputs)
+}
+
+/// One PE of a [`Tape`]: only the arithmetic its mode's route selects
+/// send to `out`, operands already resolved.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `a * coeff + fb` with `fb = 0`. The add stays: it turns a −0
+    /// product into +0, exactly as the PE's adder does.
+    Mac(FpValue, AppSource),
+    /// `a * coeff`.
+    Mul(FpValue, AppSource),
+    /// `a + b`.
+    Add(AppSource, AppSource),
+    /// `a`.
+    Pass(AppSource),
+}
+
+/// A mapped configuration lowered to a flat list of steps, one per node in
+/// topological order — the fixed datapath the data streams through once
+/// the PEs hold their settings. Bit-exact with [`run_dataflow`] on the
+/// graph the settings were specialized from.
+#[derive(Debug)]
+pub struct Tape {
+    steps: Vec<Step>,
+    zero: FpValue,
+    num_inputs: usize,
+    outputs: Vec<usize>,
+}
+
+impl Tape {
+    /// Reads every node's settings from the grid cell it is placed on.
+    ///
+    /// # Panics
+    /// If a placed node's cell has no settings, or the settings' mode is
+    /// not the node's op (the mapping was not made for this graph).
+    pub fn lower(mapping: &crate::flow::VcgraMapping, app: &AppGraph) -> Tape {
+        let cols = mapping.arch.cols;
+        let steps = app
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                let (r, c) = mapping.place[i];
+                let settings = mapping.pe_settings[r * cols + c]
+                    .expect("placed node must have settings");
+                assert_eq!(settings.mode, node.op, "cell settings must match the node op");
+                match settings.mode {
+                    PeMode::Mac => Step::Mac(settings.coeff, node.a),
+                    PeMode::Mul => Step::Mul(settings.coeff, node.a),
+                    PeMode::Add => Step::Add(node.a, node.b),
+                    PeMode::Pass => Step::Pass(node.a),
+                }
+            })
+            .collect();
+        Tape {
+            steps,
+            zero: FpValue::zero(app.format),
+            num_inputs: app.num_inputs,
+            outputs: app.outputs.clone(),
+        }
     }
-    app.outputs.iter().map(|&o| value[o]).collect()
+
+    /// Runs one input vector; `inputs[i]` feeds `AppSource::External(i)`.
+    /// Returns the outputs in the order the graph declared them.
+    pub fn run(&self, inputs: &[FpValue]) -> Vec<FpValue> {
+        self.run_with(inputs, &mut Vec::with_capacity(self.steps.len()))
+    }
+
+    /// [`Tape::run`] with a caller-owned buffer for the node values, so a
+    /// stream of items allocates it once.
+    pub fn run_with(&self, inputs: &[FpValue], values: &mut Vec<FpValue>) -> Vec<FpValue> {
+        assert_eq!(inputs.len(), self.num_inputs, "one value per external input");
+        values.clear();
+        for step in &self.steps {
+            let read = |s: AppSource| match s {
+                AppSource::External(k) => inputs[k],
+                AppSource::Node(j) => values[j],
+                AppSource::Zero => self.zero,
+            };
+            let out = match *step {
+                Step::Mac(coeff, a) => read(a).mul(coeff).add(self.zero),
+                Step::Mul(coeff, a) => read(a).mul(coeff),
+                Step::Add(a, b) => read(a).add(read(b)),
+                Step::Pass(a) => read(a),
+            };
+            values.push(out);
+        }
+        self.outputs.iter().map(|&o| values[o]).collect()
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Batched streaming execution over the grid pool.
+//! Streaming execution over the grid pool.
 //!
 //! Execution is organized by **band** (the scheduler's unit of spatial
 //! isolation): bands are independent hardware regions, so they run on
@@ -7,10 +7,13 @@
 //! charged a full-region micro-reconfiguration in the ledger (the cost
 //! that makes oversubscription visible).
 //!
-//! Every input vector streams through [`vcgra::sim::run_mapped`], i.e.
-//! through the tenant's placed settings in bit-exact FloPoCo arithmetic —
-//! the same value `run_dataflow` computes, which is what the bit-exactness
-//! acceptance tests pin down.
+//! Each job lowers its tenant's placed configuration to a
+//! [`vcgra::sim::Tape`] once — the PE settings decoded, the operands
+//! resolved — and streams every input vector through it in bit-exact
+//! FloPoCo arithmetic: the same value `run_dataflow` computes, which is
+//! what the bit-exactness acceptance tests pin down. The tape is not
+//! cached: lowering is O(nodes) against O(items × nodes) of execution,
+//! and a cached copy would go stale on every swap and relocation.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -19,7 +22,7 @@ use std::time::Duration;
 use softfloat::FpValue;
 use vcgra::app::AppGraph;
 use vcgra::flow::VcgraMapping;
-use vcgra::sim::run_mapped;
+use vcgra::sim::Tape;
 
 use crate::pool::TenantId;
 
@@ -63,8 +66,6 @@ pub struct TenantRun {
     pub outputs: Vec<Vec<FpValue>>,
     /// Input vectors processed.
     pub items: usize,
-    /// Batches (chunks of `batch_size`) processed.
-    pub batches: usize,
     /// Measured host execution time.
     pub exec_time: Duration,
     /// Context switches charged to this tenant (slot swap-ins).
@@ -96,69 +97,67 @@ pub fn switch_port_time(cost: Duration, switches: u64) -> Duration {
     }
 }
 
-/// Runs every band, bands in parallel on up to `workers` threads, jobs
-/// within a band serialized. `batch_size` is the streaming chunk size
-/// (accounting granularity of the `batches` counter).
-pub fn run_bands(bands: Vec<BandWork<'_>>, workers: usize, batch_size: usize) -> Vec<TenantRun> {
-    assert!(batch_size > 0);
+/// Runs every band, bands in parallel and jobs within a band serialized.
+/// Uses `workers.min(bands)` workers (at least one), one of them the
+/// calling thread, so a single-band run spawns no thread at all.
+pub fn run_bands(bands: Vec<BandWork<'_>>, workers: usize) -> Vec<TenantRun> {
+    let n_workers = workers.min(bands.len()).max(1);
     let queue = Mutex::new(bands.into_iter().collect::<VecDeque<_>>());
     let results = Mutex::new(Vec::new());
-    let n_workers = workers.max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|| loop {
-                let band = match queue.lock().expect("band queue mutex poisoned").pop_front() {
-                    Some(b) => b,
-                    None => break,
-                };
-                let mut runs = Vec::with_capacity(band.jobs.len());
-                for (slot, job) in band.jobs.into_iter().enumerate() {
-                    // Every slot after the first swaps a different tenant's
-                    // configuration into the shared region; the first slot
-                    // swaps in as well when another tenant was resident.
-                    let swap_in = slot > 0 || band.swap_in_first;
-                    let switches = if band.shared && swap_in { 1 } else { 0 };
-                    let mut request_span = trace::span("request");
-                    request_span.arg("tenant", job.tenant);
-                    request_span.arg("op", "execute");
-                    if switches > 0 {
-                        // The swap-in reconfigures this band while other
-                        // bands keep computing — the overlap the runtime's
-                        // timeline models as a lane-local phase.
-                        let mut sw = trace::span("reconfig_overlap");
-                        sw.arg("tenant", job.tenant);
-                        sw.arg("switch_ns", band.switch_cost.as_nanos() as u64);
-                        drop(sw);
-                    }
-                    let mut exec_span = trace::span("execute");
-                    let mut outputs = Vec::with_capacity(job.inputs.len());
-                    let mut batches = 0;
-                    let t0 = std::time::Instant::now();
-                    for chunk in job.inputs.chunks(batch_size) {
-                        for input in chunk {
-                            outputs.push(run_mapped(job.mapping, job.graph, input));
-                        }
-                        batches += 1;
-                    }
-                    let exec_time = t0.elapsed();
-                    exec_span.arg("items", outputs.len());
-                    exec_span.arg("batches", batches as u64);
-                    drop(exec_span);
-                    drop(request_span);
-                    runs.push(TenantRun {
-                        tenant: job.tenant,
-                        epoch: job.epoch,
-                        items: outputs.len(),
-                        outputs,
-                        batches,
-                        exec_time,
-                        context_switches: switches,
-                        switch_port_time: switch_port_time(band.switch_cost, switches as u64),
-                    });
+    let work = || {
+        // One node-value buffer per worker, reused by every item of every job.
+        let mut values = Vec::new();
+        loop {
+            let band = match queue.lock().expect("band queue mutex poisoned").pop_front() {
+                Some(b) => b,
+                None => break,
+            };
+            let mut runs = Vec::with_capacity(band.jobs.len());
+            for (slot, job) in band.jobs.into_iter().enumerate() {
+                // Every slot after the first swaps a different tenant's
+                // configuration into the shared region; the first slot
+                // swaps in as well when another tenant was resident.
+                let swap_in = slot > 0 || band.swap_in_first;
+                let switches = if band.shared && swap_in { 1 } else { 0 };
+                let mut request_span = trace::span("request");
+                request_span.arg("tenant", job.tenant);
+                request_span.arg("op", "execute");
+                if switches > 0 {
+                    // The swap-in reconfigures this band while other
+                    // bands keep computing — the overlap the runtime's
+                    // timeline models as a lane-local phase.
+                    let mut sw = trace::span("reconfig_overlap");
+                    sw.arg("tenant", job.tenant);
+                    sw.arg("switch_ns", band.switch_cost.as_nanos() as u64);
+                    drop(sw);
                 }
-                results.lock().expect("result mutex poisoned").extend(runs);
-            });
+                let mut exec_span = trace::span("execute");
+                let t0 = std::time::Instant::now();
+                let tape = Tape::lower(job.mapping, job.graph);
+                let outputs: Vec<Vec<FpValue>> =
+                    job.inputs.iter().map(|input| tape.run_with(input, &mut values)).collect();
+                let exec_time = t0.elapsed();
+                exec_span.arg("items", outputs.len());
+                drop(exec_span);
+                drop(request_span);
+                runs.push(TenantRun {
+                    tenant: job.tenant,
+                    epoch: job.epoch,
+                    items: outputs.len(),
+                    outputs,
+                    exec_time,
+                    context_switches: switches,
+                    switch_port_time: switch_port_time(band.switch_cost, switches as u64),
+                });
+            }
+            results.lock().expect("result mutex poisoned").extend(runs);
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..n_workers {
+            scope.spawn(work);
+        }
+        work();
     });
     let mut out = results.into_inner().expect("result mutex poisoned");
     out.sort_by_key(|r| r.tenant);
@@ -168,10 +167,12 @@ pub fn run_bands(bands: Vec<BandWork<'_>>, workers: usize, batch_size: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::library;
     use softfloat::FpFormat;
+    use vcgra::app::AppSource;
     use vcgra::flow::map_app;
     use vcgra::sim::run_dataflow;
-    use vcgra::VcgraArch;
+    use vcgra::{PeMode, VcgraArch};
 
     const F: FpFormat = FpFormat::PAPER;
 
@@ -179,21 +180,73 @@ mod tests {
         FpValue::from_f64(x, F)
     }
 
+    /// One node per `PeMode`, with coefficients that make products
+    /// overflow, underflow and change sign. Every node is an output.
+    fn every_mode_graph() -> AppGraph {
+        let mut g = AppGraph::new(F, 2);
+        let (x0, x1) = (AppSource::External(0), AppSource::External(1));
+        for c in [0.5, -0.5, 2f64.powi(20), 2f64.powi(-20)] {
+            let n = g.add("mac", PeMode::Mac, Some(fp(c)), x0, AppSource::Zero);
+            g.mark_output(n);
+            let n = g.add("mul", PeMode::Mul, Some(fp(c)), x0, AppSource::Zero);
+            g.mark_output(n);
+        }
+        let n = g.add("add", PeMode::Add, None, x0, x1);
+        g.mark_output(n);
+        let n = g.add("pass", PeMode::Pass, None, x1, AppSource::Zero);
+        g.mark_output(n);
+        g
+    }
+
     #[test]
     fn parallel_bands_match_run_dataflow() {
-        let apps: Vec<AppGraph> = vec![
+        // ±0, ±Inf, NaN, values whose products overflow or underflow
+        // against the graph coefficients, and plain values.
+        let values: Vec<FpValue> = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            2f64.powi(20),
+            -(2f64.powi(20)),
+            2f64.powi(-20),
+            -(2f64.powi(-20)),
+            1.5,
+            -3.25,
+        ]
+        .into_iter()
+        .map(fp)
+        .collect();
+        let modes = every_mode_graph();
+        let mut apps: Vec<AppGraph> = vec![
             AppGraph::dot_product(F, &[0.5, 0.25, 0.125]),
             AppGraph::mac_chain(F, &[1.0, -1.0]),
+            modes.clone(),
         ];
+        apps.extend(library(F).into_iter().map(|w| w.graph));
         let mappings: Vec<_> = apps
             .iter()
-            .map(|a| map_app(a, VcgraArch::paper_4x4(), 3).unwrap())
+            .map(|a| map_app(a, VcgraArch::new(8, 4, 2), 3).unwrap())
             .collect();
+        // Every pair of values through the per-mode graph; the kernels
+        // mix the same values with plain ones.
         let inputs: Vec<Vec<Vec<FpValue>>> = apps
             .iter()
             .map(|a| {
-                (0..10)
-                    .map(|i| (0..a.num_inputs).map(|j| fp((i * 7 + j) as f64 * 0.5)).collect())
+                if a.num_inputs == 2 {
+                    let pairs = values.iter().flat_map(|&x| values.iter().map(move |&y| vec![x, y]));
+                    return pairs.collect();
+                }
+                (0..24)
+                    .map(|i| {
+                        (0..a.num_inputs)
+                            .map(|j| match (i + j) % 3 {
+                                0 => values[(i * 7 + j) % values.len()],
+                                _ => fp((i * 7 + j) as f64 * 0.5 - 3.0),
+                            })
+                            .collect()
+                    })
                     .collect()
             })
             .collect();
@@ -215,19 +268,24 @@ mod tests {
                 }],
             })
             .collect();
-        let runs = run_bands(bands, 4, 4);
-        assert_eq!(runs.len(), 2);
+        let runs = run_bands(bands, 4);
+        assert_eq!(runs.len(), apps.len());
         for (t, run) in runs.iter().enumerate() {
-            assert_eq!(run.items, 10);
-            assert_eq!(run.batches, 3, "10 items in chunks of 4");
+            assert_eq!(run.items, inputs[t].len());
             assert_eq!(run.context_switches, 0);
             for (input, out) in inputs[t].iter().zip(&run.outputs) {
                 let want = run_dataflow(&apps[t], input);
                 let got: Vec<u64> = out.iter().map(|v| v.bits).collect();
                 let want_bits: Vec<u64> = want.iter().map(|v| v.bits).collect();
-                assert_eq!(got, want_bits, "tenant {t} bit-exact");
+                assert_eq!(got, want_bits, "tenant {t} bit-exact on {input:?}");
             }
         }
+
+        // A −0 product: the MAC's `+ fb` add makes it +0, a MUL keeps −0.
+        let tape = Tape::lower(&mappings[2], &modes);
+        let out = tape.run(&[fp(-0.0), fp(1.0)]);
+        assert_eq!(out[0].to_f64().to_bits(), 0f64.to_bits(), "Mac(0.5, -0) = +0");
+        assert_eq!(out[1].to_f64().to_bits(), (-0f64).to_bits(), "Mul(0.5, -0) = -0");
     }
 
     #[test]
@@ -262,7 +320,7 @@ mod tests {
                 .map(|t| Job { tenant: t, epoch: 0, graph: &app, mapping: &mapping, inputs: inputs.clone() })
                 .collect(),
         };
-        let runs = run_bands(vec![band], 2, 8);
+        let runs = run_bands(vec![band], 2);
         assert_eq!(runs[0].context_switches, 0, "first slot is already resident");
         assert_eq!(runs[1].context_switches, 1);
         assert_eq!(runs[2].context_switches, 1);
@@ -276,7 +334,7 @@ mod tests {
             switch_cost: cost,
             jobs: vec![Job { tenant: 0, epoch: 0, graph: &app, mapping: &mapping, inputs }],
         };
-        let runs = run_bands(vec![band], 1, 8);
+        let runs = run_bands(vec![band], 1);
         assert_eq!(runs[0].context_switches, 1, "resident tenant differs");
     }
 }

@@ -34,9 +34,10 @@
 //!   **cache-aware**: among feasible grids the runtime prefers one whose
 //!   region shape is already warm in the configuration cache, so a
 //!   mixed-width pool compiles each structure once, not once per width.
-//! * [`engine`] — **batched streaming execution**: bands run on parallel
-//!   worker threads, shared bands serialize their slots, every input
-//!   vector streams through `vcgra::sim::run_mapped` in bit-exact FloPoCo
+//! * [`engine`] — **streaming execution**: bands run on parallel worker
+//!   threads, shared bands serialize their slots; each job lowers its
+//!   tenant's placed configuration to a `vcgra::sim::Tape` once and
+//!   streams every input vector through it in bit-exact FloPoCo
 //!   arithmetic.
 //! * [`kernels`] — the workload library (FIR, separable 2-D stencil,
 //!   tiled matrix–vector, tree reduction, vessel-segmentation stages).

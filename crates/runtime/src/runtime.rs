@@ -75,10 +75,10 @@ pub struct RuntimeConfig {
     pub grids: Vec<VcgraArch>,
     /// Configurations kept in the cache.
     pub cache_capacity: usize,
-    /// Worker threads for streaming execution.
+    /// Most threads a streaming run executes bands on: a run uses one
+    /// worker per band up to this bound, the calling thread being one of
+    /// them.
     pub workers: usize,
-    /// Streaming chunk size.
-    pub batch_size: usize,
     /// Configuration interface priced by the ledger.
     pub iface: ReconfigInterface,
     /// Floating-point format of the pricing PE (reduced by default so the
@@ -113,7 +113,6 @@ impl Default for RuntimeConfig {
             grids: vec![VcgraArch::new(8, 4, 2), VcgraArch::new(8, 4, 2)],
             cache_capacity: 32,
             workers: 4,
-            batch_size: 64,
             iface: ReconfigInterface::Hwicap,
             pricer_format: FpFormat::new(4, 6),
             place_seed: 42,
@@ -152,6 +151,13 @@ pub enum RuntimeError {
         /// Values supplied per vector.
         got: usize,
     },
+    /// A stream input value is not in the graph's floating-point format.
+    BadInputFormat {
+        /// The graph's format.
+        expected: FpFormat,
+        /// The format of the offending value.
+        got: FpFormat,
+    },
     /// Node index outside the tenant's graph.
     NodeOutOfRange {
         /// Index supplied.
@@ -179,6 +185,9 @@ impl std::fmt::Display for RuntimeError {
             }
             RuntimeError::BadInputArity { expected, got } => {
                 write!(f, "input vector has {got} values, graph has {expected} inputs")
+            }
+            RuntimeError::BadInputFormat { expected, got } => {
+                write!(f, "input value has format {got:?}, graph has {expected:?}")
             }
             RuntimeError::NodeOutOfRange { node, nodes } => {
                 write!(f, "node {node} out of range, graph has {nodes} nodes")
@@ -291,8 +300,6 @@ pub enum Refresh {
 pub struct TenantStats {
     /// Input vectors processed.
     pub items: usize,
-    /// Streaming batches processed.
-    pub batches: usize,
     /// Measured host execution time.
     pub exec_time: Duration,
     /// Parameter swaps served from the fast path.
@@ -1107,11 +1114,14 @@ impl Runtime {
         Ok(refresh)
     }
 
-    /// Streams batched inputs through every requested tenant: bands run
-    /// in parallel, shared bands serialize with context-switch charges.
+    /// Streams inputs through every requested tenant: bands run in
+    /// parallel, shared bands serialize with context-switch charges.
     /// Drains the admission queue first, so capacity freed since the last
     /// call is never left idle (the drain's admissions are visible in the
-    /// ledger and via [`Runtime::tenant`]).
+    /// ledger and via [`Runtime::tenant`]). An input vector of the wrong
+    /// length or a value in the wrong format fails the whole call with
+    /// [`RuntimeError::BadInputArity`] or [`RuntimeError::BadInputFormat`]
+    /// before anything executes.
     pub fn run(&mut self, requests: Vec<StreamRequest>) -> Result<Vec<TenantRun>, RuntimeError> {
         self.drain_queue();
         // Validate before borrowing for the engine.
@@ -1122,6 +1132,12 @@ impl Runtime {
                     return Err(RuntimeError::BadInputArity {
                         expected: t.graph.num_inputs,
                         got: v.len(),
+                    });
+                }
+                if let Some(bad) = v.iter().find(|x| x.format != t.graph.format) {
+                    return Err(RuntimeError::BadInputFormat {
+                        expected: t.graph.format,
+                        got: bad.format,
                     });
                 }
             }
@@ -1169,7 +1185,7 @@ impl Runtime {
                         .collect(),
                 });
             }
-            run_bands(bands, self.cfg.workers, self.cfg.batch_size)
+            run_bands(bands, self.cfg.workers)
         };
         self.resident.extend(next_resident);
 
@@ -1181,7 +1197,6 @@ impl Runtime {
             let lane = (tenant.lease.grid, tenant.lease.row0);
             let stats = &mut tenant.stats;
             stats.items += run.items;
-            stats.batches += run.batches;
             stats.exec_time += run.exec_time;
             stats.context_switches += run.context_switches;
             stats.switch_port_time += run.switch_port_time;

@@ -139,11 +139,10 @@ fn soak(smoke: bool, verify_on_admit: bool, audit: bool, json: Option<&str>) {
     };
     println!("=== vcgra-runtime serve: mixed-tenant soak ({} kernels) ===", lib.len());
     println!(
-        "pool: {:?} grids, cache {} entries, {} workers, batch {}",
+        "pool: {:?} grids, cache {} entries, {} workers",
         cfg.grids.iter().map(|g| (g.rows, g.cols)).collect::<Vec<_>>(),
         cfg.cache_capacity,
         cfg.workers,
-        cfg.batch_size,
     );
     let mut rt = Runtime::new(cfg);
 
